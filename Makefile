@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all ci fmt fmt-check clippy no-raw-print build test test-all timing-guard bench-json bench-json-smoke bench-incremental bench-incremental-smoke bench-cache bench-cache-smoke bench-delegation bench-delegation-smoke bench-sat bench-sat-smoke bench-micro bench-micro-smoke bench-shard bench-shard-smoke obs-smoke replay-demo chaos clean
+.PHONY: all ci fmt fmt-check clippy no-raw-print build test test-all timing-guard bench-json bench-json-smoke bench-incremental bench-incremental-smoke bench-cache bench-cache-smoke bench-delegation bench-delegation-smoke bench-sat bench-sat-smoke bench-micro bench-micro-smoke bench-shard bench-shard-smoke perfbench obs-smoke replay-demo chaos clean
 
 all: ci
 
@@ -135,6 +135,18 @@ bench-shard:
 ## bench-shard-smoke: short schema-validation run (CI).
 bench-shard-smoke:
 	$(CARGO) run --release --offline -p flowplace-bench --bin shard_bench -- --smoke
+
+## perfbench: the repo benchmark (BENCHMARK.json, perfbench/README.md):
+## builds perfbench/ into .bench_build and runs one workload, e.g.
+## `make perfbench W=place SEED=8191 TRACE=1`. W is place, churn or
+## storm; TRACE=1 adds the per-layer metrics. The JSON result is the
+## last line of stdout.
+W ?= place
+SEED ?= 1
+SECONDS ?= 30
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
 ## replay-demo: run the controller on the shipped 50+-event trace.
 replay-demo:

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod branch;
+mod factor;
 mod lpformat;
 mod model;
 mod presolve;
@@ -46,5 +47,5 @@ pub use branch::{solve_mip, solve_mip_lazy, LazyCallback, MipOptions};
 pub use lpformat::to_lp_format;
 pub use model::{Cmp, Constraint, Model, Sense, VarId, VarKind};
 pub use presolve::presolve;
-pub use simplex::{solve_lp, LpOptions};
+pub use simplex::{solve_lp, solve_lp_with, LpOptions};
 pub use status::{LpOutcome, LpSolution, LpStatus, MipOutcome, MipSolution, MipStatus, SolveError};

@@ -1,18 +1,32 @@
 //! Bounded-variable two-phase revised primal simplex.
 //!
 //! Solves the LP relaxation of a [`Model`]: all variables are treated as
-//! continuous within their bounds. The implementation keeps an explicit
-//! dense basis inverse (suitable for the few-thousand-row models produced
-//! by the placement encoder), sparse constraint columns, Dantzig pricing
-//! with a Bland's-rule fallback for degeneracy, and bound-flip ("long
-//! step") handling for boxed variables.
-#![allow(clippy::needless_range_loop)] // dense kernels index several arrays at once
+//! continuous within their bounds. The basis is a sparse LU factor with
+//! a product-form eta file ([`Factor`]): it is factored at the start of
+//! each phase, every [`REFACTOR_EVERY`] basis exchanges, and after an
+//! exchange whose pivot is numerically small. Each iteration prices with
+//! one BTRAN (`y = c_B·B⁻¹`) and computes the entering column with one
+//! FTRAN, so its cost follows the nonzeros of the model and the factor
+//! rather than `m²`. Constraint columns are sparse; pricing is Dantzig's
+//! rule with a Bland's-rule fallback for degeneracy, and boxed variables
+//! take bound flips ("long steps").
+#![allow(clippy::needless_range_loop)] // kernels index several arrays at once
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::factor::Factor;
 use crate::model::{Cmp, Model, Sense};
 use crate::status::{LpOutcome, LpSolution, SolveError};
+
+/// Basis exchanges between two refactorizations of the basis.
+const REFACTOR_EVERY: usize = 100;
+/// An exchange whose pivot element is smaller than this refactors the
+/// basis instead of appending to the eta file.
+const SMALL_ETA_PIVOT: f64 = 1e-7;
+/// Pivot elements at or below this size are unusable (see
+/// [`Simplex::pivot`]).
+const MIN_PIVOT: f64 = 1e-12;
 
 /// Options controlling an LP solve.
 #[derive(Clone, Debug)]
@@ -22,7 +36,7 @@ pub struct LpOptions {
     /// Reduced-cost / pivot tolerance.
     pub tolerance: f64,
     /// Cooperative cancellation flag, polled once per simplex iteration
-    /// (each iteration is `O(m²)` work, so the poll is free). A cancelled
+    /// (each iteration prices every column, so the poll is free). A cancelled
     /// solve reports [`LpOutcome::IterationLimit`] — large root LPs must
     /// be interruptible or the portfolio racer would block on them.
     pub cancel: Option<Arc<AtomicBool>>,
@@ -138,8 +152,8 @@ struct Simplex {
     status: Vec<VStat>,
     /// `basis[i]` = column basic in row `i`.
     basis: Vec<usize>,
-    /// Dense row-major basis inverse, `m × m`.
-    binv: Vec<f64>,
+    /// Sparse LU factor of the basis plus its eta file.
+    factor: Factor,
     /// Values of basic variables, by row.
     xb: Vec<f64>,
     iterations: usize,
@@ -208,7 +222,6 @@ impl Simplex {
 
         let mut basis = vec![usize::MAX; m];
         let mut xb = vec![0.0; m];
-        let mut binv = vec![0.0; m * m];
         // First pass: slack statuses, keeping status indices aligned with
         // the slack columns n..n+m. Rows whose slack cannot absorb the
         // residual are deferred to the artificial pass.
@@ -221,7 +234,6 @@ impl Simplex {
                 status.push(VStat::Basic(i));
                 basis[i] = sj;
                 xb[i] = r;
-                binv[i * m + i] = 1.0;
             } else {
                 // Park the slack at its nearest (finite) bound.
                 let sb = if r < sl { sl } else { su };
@@ -246,9 +258,10 @@ impl Simplex {
             status.push(VStat::Basic(i));
             basis[i] = aj;
             xb[i] = (r - sb) * g; // = |r - sb| > 0
-            binv[i * m + i] = g;
         }
         debug_assert_eq!(status.len(), cols.len());
+        // Phase start: the slack/artificial basis is diagonal.
+        let factor = factor_basis(&cols, &basis)?;
 
         let ncols = cols.len();
         Ok(Simplex {
@@ -261,7 +274,7 @@ impl Simplex {
             cost: vec![0.0; ncols],
             status,
             basis,
-            binv,
+            factor,
             xb,
             iterations: 0,
             max_iterations: options.max_iterations,
@@ -305,6 +318,9 @@ impl Simplex {
                 self.lower[j] = 0.0;
                 self.upper[j] = 0.0;
             }
+            if let Err(e) = self.refactor() {
+                return LpOutcome::Error(e);
+            }
         }
 
         // Phase 2: true objective.
@@ -342,16 +358,17 @@ impl Simplex {
             if self.basis[row] < self.art_start {
                 continue;
             }
-            // Find a replacement column with a usable pivot in this row.
+            // Find a replacement column with a usable pivot in this row:
+            // rho = e_row' * Binv is the pivot row of the inverse.
+            let mut unit = vec![0.0; self.m];
+            unit[row] = 1.0;
+            let rho = self.factor.btran(unit);
             let mut found = None;
             for j in 0..self.art_start {
                 if matches!(self.status[j], VStat::Basic(_)) {
                     continue;
                 }
-                let alpha: f64 = self.cols[j]
-                    .iter()
-                    .map(|&(r, a)| self.binv[row * self.m + r] * a)
-                    .sum();
+                let alpha: f64 = self.cols[j].iter().map(|&(r, a)| rho[r] * a).sum();
                 if alpha.abs() > 1e-7 {
                     found = Some(j);
                     break;
@@ -363,51 +380,51 @@ impl Simplex {
             let w = self.ftran(q);
             let old = self.basis[row];
             let enter_val = nb_value(self.lower[q], self.upper[q], self.status[q])?;
-            self.pivot(row, q, w);
+            self.pivot(row, q, w)?;
             self.xb[row] = enter_val;
             self.status[old] = VStat::AtLower;
         }
         Ok(())
     }
 
-    /// `Binv * A_q` for a sparse column.
+    /// `Binv * A_q` for a sparse column, by FTRAN.
     fn ftran(&self, q: usize) -> Vec<f64> {
-        let mut w = vec![0.0; self.m];
-        for &(r, a) in &self.cols[q] {
-            if a == 0.0 {
-                continue;
-            }
-            let col_of_binv = r;
-            for i in 0..self.m {
-                w[i] += self.binv[i * self.m + col_of_binv] * a;
-            }
+        let mut a = vec![0.0; self.m];
+        for &(r, v) in &self.cols[q] {
+            a[r] += v;
         }
-        w
+        self.factor.ftran(a)
     }
 
-    /// Basis exchange: column `q` becomes basic in `row`.
-    fn pivot(&mut self, row: usize, q: usize, w: Vec<f64>) {
-        let piv = w[row];
-        debug_assert!(piv.abs() > 1e-12, "pivot too small: {piv}");
-        let m = self.m;
-        let inv_piv = 1.0 / piv;
-        for k in 0..m {
-            self.binv[row * m + k] *= inv_piv;
-        }
-        for i in 0..m {
-            if i == row {
-                continue;
-            }
-            let f = w[i];
-            if f == 0.0 {
-                continue;
-            }
-            for k in 0..m {
-                self.binv[i * m + k] -= f * self.binv[row * m + k];
+    /// Factors the current basis from scratch, emptying the eta file.
+    fn refactor(&mut self) -> Result<(), SolveError> {
+        self.factor = factor_basis(&self.cols, &self.basis)?;
+        Ok(())
+    }
+
+    /// Basis exchange: column `q`, whose FTRAN image is `w`, becomes
+    /// basic in `row`. A pivot element at or below [`MIN_PIVOT`] may be
+    /// drift in the eta file, so the basis is refactored and `w`
+    /// recomputed once; if the element is still unusable the exchange
+    /// fails with [`SolveError::Internal`] and the basis is unchanged.
+    fn pivot(&mut self, row: usize, q: usize, mut w: Vec<f64>) -> Result<(), SolveError> {
+        if w[row].abs() <= MIN_PIVOT {
+            self.refactor()?;
+            w = self.ftran(q);
+            if w[row].abs() <= MIN_PIVOT {
+                return Err(SolveError::Internal(
+                    "pivot element vanished after refactorization",
+                ));
             }
         }
         self.basis[row] = q;
         self.status[q] = VStat::Basic(row);
+        if w[row].abs() < SMALL_ETA_PIVOT || self.factor.eta_count() + 1 >= REFACTOR_EVERY {
+            self.refactor()
+        } else {
+            self.factor.push_eta(row, &w);
+            Ok(())
+        }
     }
 
     fn optimize(&mut self) -> PhaseResult {
@@ -443,18 +460,11 @@ impl Simplex {
             self.iterations += 1;
             let use_bland = self.degenerate_streak > 200;
 
-            // Pricing: y = c_B' * Binv.
+            // Pricing: y = c_B' * Binv, by BTRAN.
             let m = self.m;
-            let mut y = vec![0.0; m];
-            for i in 0..m {
-                let cb = self.cost[self.basis[i]];
-                if cb == 0.0 {
-                    continue;
-                }
-                for k in 0..m {
-                    y[k] += cb * self.binv[i * m + k];
-                }
-            }
+            let y = self
+                .factor
+                .btran(self.basis.iter().map(|&j| self.cost[j]).collect());
 
             // Entering variable selection.
             let mut best: Option<(usize, f64, f64)> = None; // (col, |d|, sigma)
@@ -583,11 +593,19 @@ impl Simplex {
                     self.upper[leaving] = v;
                     self.status[leaving] = VStat::AtLower;
                 }
-                self.pivot(row, q, w);
+                if let Err(e) = self.pivot(row, q, w) {
+                    return PhaseResult::Error(e);
+                }
                 self.xb[row] = enter_val;
             }
         }
     }
+}
+
+/// Factors the basis whose position `i` holds column `basis[i]`.
+fn factor_basis(cols: &[Vec<(usize, f64)>], basis: &[usize]) -> Result<Factor, SolveError> {
+    let columns: Vec<&[(usize, f64)]> = basis.iter().map(|&j| cols[j].as_slice()).collect();
+    Factor::new(&columns).map_err(|_| SolveError::Internal("basis factorization is singular"))
 }
 
 fn initial_status(lower: f64, upper: f64) -> VStat {
@@ -622,10 +640,13 @@ fn nb_value(lower: f64, upper: f64, status: VStat) -> Result<f64, SolveError> {
 mod tests {
     use super::*;
     use crate::model::{Cmp, Model, Sense, VarId};
+    use flowplace_rng::{Rng, StdRng};
 
     /// Audit helper: solve and then recompute, from scratch, the basis
     /// inverse and the reduced costs, reporting any inconsistency between
-    /// the converged state and exact linear algebra.
+    /// the converged state and exact linear algebra: the factor's FTRAN
+    /// and BTRAN solves against the exact inverse, the basic values, and
+    /// the signs of the reduced costs.
     fn audit(model: &Model) -> (LpSolution, Vec<String>) {
         let options = LpOptions::default();
         let mut s = Simplex::build(model, &options).expect("audit models are well-formed");
@@ -681,13 +702,23 @@ mod tests {
             .flat_map(|r| (0..m).map(move |k| (r, k)))
             .map(|(r, k)| aug[r * 2 * m + m + k])
             .collect();
-        for i in 0..m * m {
-            if (exact_binv[i] - s.binv[i]).abs() > 1e-6 {
-                problems.push(format!(
-                    "binv drift at {i}: maintained {} vs exact {}",
-                    s.binv[i], exact_binv[i]
-                ));
-                break;
+        // FTRAN of unit row k is column k of the inverse; BTRAN of unit
+        // position k is its row k.
+        'solves: for k in 0..m {
+            let mut unit = vec![0.0; m];
+            unit[k] = 1.0;
+            let col = s.factor.ftran(unit.clone());
+            let row = s.factor.btran(unit);
+            for i in 0..m {
+                let (exact_col, exact_row) = (exact_binv[i * m + k], exact_binv[k * m + i]);
+                if (col[i] - exact_col).abs() > 1e-6 || (row[i] - exact_row).abs() > 1e-6 {
+                    problems.push(format!(
+                        "factor drift at ({i}, {k}): ftran {} vs exact {exact_col}, \
+                         btran {} vs exact {exact_row}",
+                        col[i], row[i]
+                    ));
+                    break 'solves;
+                }
             }
         }
         // Exact basic values: xb = Binv (b - N x_N).
@@ -785,6 +816,167 @@ mod tests {
             "LP bound {} exceeds integer optimum 8",
             sol.objective
         );
+    }
+
+    /// Small nonzero coefficients, exact in binary.
+    const COEFS: [f64; 6] = [1.0, -1.0, 2.0, 0.5, -3.0, 1.5];
+
+    /// A random LP that is feasible and bounded by construction: every
+    /// row holds at a known point `x0` (often with equality, so the
+    /// vertices are degenerate), and every variable with an infinite
+    /// bound is boxed by explicit rows. It mixes `<=`/`>=`/`=` rows,
+    /// boxed, free and negative-bound variables, degenerate cover rows
+    /// and redundant (scaled duplicate) equalities.
+    fn random_bounded_lp(seed: u64) -> (Model, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sense = if rng.gen_range(0..2) == 0 {
+            Sense::Minimize
+        } else {
+            Sense::Maximize
+        };
+        let mut m = Model::new(sense);
+        let n = 2 + rng.gen_range(0..9usize);
+        let mut x0 = Vec::with_capacity(n);
+        let mut vars = Vec::with_capacity(n);
+        for j in 0..n {
+            let (lo, hi, at) = match rng.gen_range(0..5) {
+                0 => (0.0, 1.0, [0.0, 0.5, 1.0][rng.gen_range(0..3usize)]),
+                1 => (-2.0, 3.0, rng.gen_range(0..6) as f64 - 2.0),
+                2 => (f64::NEG_INFINITY, -1.0, -1.0 - rng.gen_range(0..3) as f64),
+                3 => (
+                    f64::NEG_INFINITY,
+                    f64::INFINITY,
+                    rng.gen_range(0..7) as f64 - 3.0,
+                ),
+                _ => (0.0, f64::INFINITY, rng.gen_range(0..4) as f64),
+            };
+            let v = m.add_continuous(format!("x{j}"), lo, hi);
+            m.set_objective(v, rng.gen_range(0..7) as f64 - 3.0);
+            if !lo.is_finite() || !hi.is_finite() {
+                m.add_constraint(format!("lo{j}"), vec![(v, 1.0)], Cmp::Ge, -6.0);
+                m.add_constraint(format!("hi{j}"), vec![(v, 1.0)], Cmp::Le, 6.0);
+            }
+            vars.push(v);
+            x0.push(at);
+        }
+        let activity =
+            |terms: &[(VarId, f64)]| -> f64 { terms.iter().map(|&(v, a)| a * x0[v.0]).sum() };
+        for i in 0..1 + rng.gen_range(0..8) {
+            let terms: Vec<(VarId, f64)> = (0..1 + rng.gen_range(0..4))
+                .map(|_| {
+                    (
+                        vars[rng.gen_range(0..n)],
+                        COEFS[rng.gen_range(0..COEFS.len())],
+                    )
+                })
+                .collect();
+            let act = activity(&terms);
+            let (cmp, rhs) = match rng.gen_range(0..3) {
+                0 => (Cmp::Le, act + rng.gen_range(0..2) as f64),
+                1 => (Cmp::Ge, act - rng.gen_range(0..2) as f64),
+                _ => (Cmp::Eq, act),
+            };
+            if cmp == Cmp::Eq && rng.gen_range(0..2) == 0 {
+                let doubled = terms.iter().map(|&(v, a)| (v, 2.0 * a)).collect();
+                m.add_constraint(format!("r{i}_dup"), doubled, Cmp::Eq, 2.0 * rhs);
+            }
+            m.add_constraint(format!("r{i}"), terms, cmp, rhs);
+        }
+        // Cover rows that are tight at x0.
+        for i in 0..rng.gen_range(0..4) {
+            let terms = vec![
+                (vars[rng.gen_range(0..n)], 1.0),
+                (vars[rng.gen_range(0..n)], 1.0),
+            ];
+            let act = activity(&terms);
+            m.add_constraint(format!("cover{i}"), terms, Cmp::Ge, act);
+        }
+        (m, x0)
+    }
+
+    #[test]
+    fn audit_random_bounded_corpus() {
+        let mut phase_one = 0;
+        for seed in 0..128 {
+            let (model, x0) = random_bounded_lp(seed);
+            let (sol, problems) = audit(&model);
+            assert!(problems.is_empty(), "seed {seed}: audit {problems:?}");
+            assert!(
+                model.check_feasible(&sol.values, 1e-6).is_ok(),
+                "seed {seed}: optimum is infeasible"
+            );
+            let at_x0 = model.objective_value(&x0);
+            let no_worse = match model.sense {
+                Sense::Minimize => sol.objective <= at_x0 + 1e-6,
+                Sense::Maximize => sol.objective >= at_x0 - 1e-6,
+            };
+            assert!(
+                no_worse,
+                "seed {seed}: {} worse than x0's {at_x0}",
+                sol.objective
+            );
+            let s = Simplex::build(&model, &LpOptions::default()).expect("well-formed");
+            phase_one += usize::from(s.art_start < s.cols.len());
+        }
+        assert!(phase_one >= 32, "only {phase_one} models needed phase 1");
+    }
+
+    #[test]
+    fn audit_holds_across_refactorizations() {
+        // A covering LP with capacity rows, large enough that the solve
+        // spans several refactorization windows.
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut m = Model::new(Sense::Minimize);
+        let v: Vec<VarId> = (0..400)
+            .map(|i| m.add_continuous(format!("x{i}"), 0.0, 1.0))
+            .collect();
+        for x in &v {
+            m.set_objective(*x, 1.0 + rng.gen_range(0..5) as f64);
+        }
+        for i in 0..300 {
+            let terms = (0..3)
+                .map(|_| (v[rng.gen_range(0..v.len())], 1.0))
+                .collect();
+            m.add_constraint(format!("cover{i}"), terms, Cmp::Ge, 1.0);
+        }
+        for (k, group) in v.chunks(50).enumerate() {
+            let terms = group.iter().map(|&x| (x, 1.0)).collect();
+            m.add_constraint(format!("cap{k}"), terms, Cmp::Le, 40.0);
+        }
+        let (sol, problems) = audit(&m);
+        assert!(problems.is_empty(), "audit: {problems:?}");
+        assert!(
+            sol.iterations > 2 * REFACTOR_EVERY,
+            "only {} iterations",
+            sol.iterations
+        );
+    }
+
+    #[test]
+    fn vanished_pivot_refactors_then_fails_typed() {
+        // Rows: x + y <= 1, x + z <= 1; the slacks start basic.
+        let mut m = Model::new(Sense::Minimize);
+        let x = m.add_continuous("x", 0.0, 1.0);
+        let y = m.add_continuous("y", 0.0, 1.0);
+        let z = m.add_continuous("z", 0.0, 1.0);
+        m.add_constraint("r0", vec![(x, 1.0), (y, 1.0)], Cmp::Le, 1.0);
+        m.add_constraint("r1", vec![(x, 1.0), (z, 1.0)], Cmp::Le, 1.0);
+        let mut s = Simplex::build(&m, &LpOptions::default()).expect("well-formed");
+        // z has no entry in row 0: its pivot element there is truly zero.
+        let w = s.ftran(z.0);
+        assert_eq!(
+            s.pivot(0, z.0, w),
+            Err(SolveError::Internal(
+                "pivot element vanished after refactorization"
+            ))
+        );
+        assert_eq!(s.basis[0], 3, "a failed exchange leaves the basis alone");
+        // A stale image of x with a zero pivot is repaired by the retry.
+        let mut w = s.ftran(x.0);
+        w[0] = 0.0;
+        assert_eq!(s.pivot(0, x.0, w), Ok(()));
+        assert_eq!(s.basis[0], x.0);
+        assert_eq!(s.ftran(x.0), vec![1.0, 0.0]);
     }
 
     fn lp(model: &Model) -> LpSolution {
